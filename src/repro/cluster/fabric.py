@@ -23,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cluster.topology import Device, Topology
+from repro.cluster.topology import Device, RouteInfo, Topology
 from repro.sim import Environment
+from repro.sim.engine import Timeout
 from repro.sim.fastpath import fast_path_enabled
+from repro.sim.resources import Request
 
 __all__ = ["Fabric", "FastPathStats", "LinkDownError", "TransferStats"]
 
@@ -86,13 +88,15 @@ class TransferStats:
     #: Per-link-type byte counters, e.g. ``{"nvlink2-gg": ..., "ib-edr": ...}``.
     bytes_by_link_type: dict[str, int] = field(default_factory=dict)
 
-    def record(self, nbytes: int, seconds: float, link_types: list[str]) -> None:
-        """Account one completed transfer."""
+    def record(self, nbytes: int, seconds: float, links) -> None:
+        """Account one completed transfer over ``links``."""
         self.transfers += 1
         self.bytes_moved += nbytes
         self.seconds_busy += seconds
-        for lt in link_types:
-            self.bytes_by_link_type[lt] = self.bytes_by_link_type.get(lt, 0) + nbytes
+        by_type = self.bytes_by_link_type
+        for link in links:
+            lt = link.spec.name
+            by_type[lt] = by_type.get(lt, 0) + nbytes
 
 
 class Fabric:
@@ -168,7 +172,17 @@ class Fabric:
             raise ValueError(f"negative transfer size {nbytes}")
         if not 0 < bandwidth_derate <= 1.0:
             raise ValueError(f"bandwidth_derate must be in (0, 1], got {bandwidth_derate}")
-        return self._transfer(src, dst, nbytes, extra_latency, bandwidth_derate)
+        return self._routed_transfer(src, dst, nbytes, extra_latency, bandwidth_derate)
+
+    def _routed_transfer(self, src, dst, nbytes, extra_latency, bandwidth_derate):
+        # The route is looked up when the generator starts, not when it
+        # is created: under :meth:`transfer` the process starts later in
+        # the instant, after events that may have re-routed the pair.
+        info = self.topology.route_info(src, dst)
+        if info is None:
+            return 0.0
+        return (yield from self.route_transfer_gen(
+            info, src, dst, nbytes, extra_latency, bandwidth_derate))
 
     def _fast_transfer_viable(self, info) -> bool:
         """True when the closed-form shortcut is provably equivalent.
@@ -193,7 +207,8 @@ class Fabric:
         """
         env = self.env
         queue = env._queue
-        if env._cascade_rest or (queue and queue[0][0] <= env._now):
+        if (env._cascade_rest or env._urgent or env._ready
+                or (queue and queue[0][0] <= env._now)):
             return False
         for link in info.acquire_order:
             resource = link.resource
@@ -201,27 +216,35 @@ class Fabric:
                 return False
         return True
 
-    def _transfer(self, src, dst, nbytes, extra_latency, bandwidth_derate):
+    def route_transfer_gen(self, info: RouteInfo, src: Device, dst: Device,
+                           nbytes: int, extra_latency: float,
+                           bandwidth_derate: float):
+        """:meth:`transfer_gen` over an already looked-up, current route.
+
+        The hot path for callers that cache ``info`` per device pair
+        (:class:`~repro.mpi.communicator.Comm`): it skips the argument
+        checks and the route lookup, so the caller must pass valid
+        arguments and a route no older than
+        :attr:`Topology.route_epoch <repro.cluster.topology.Topology.route_epoch>`.
+        """
         env = self.env
-        start = env.now
-        info = self.topology.route_info(src, dst)
-        if info is None:
-            return 0.0
-        self._check_route_up(info)
+        start = env._now
+        links = info.links
+        for link in links:
+            if not link.up:
+                raise LinkDownError(link.label)
         duration = (
             info.latency_s
             + extra_latency
             + nbytes / (info.bottleneck_Bps * bandwidth_derate)
         )
         order = info.acquire_order
-        held = []
         if fast_path_enabled() and self._fast_transfer_viable(info):
             # Flow-level shortcut: the route is uncontended and the
             # queue is quiet at this instant, so the reference path's
             # grant events would all pop back-to-back right now.
             # Acquire event-free; only the duration timeout remains.
-            for link in order:
-                held.append((link, link.resource.try_acquire()))
+            held = [link.resource.try_acquire() for link in order]
             fs = self.fast_stats
             fs.fast += 1
             fs.events_elided += len(order)
@@ -230,31 +253,27 @@ class Fabric:
             # Reference path: acquire links in canonical global order
             # (deadlock-free: every transfer holding link k can only be
             # waiting on links > k).
+            held = []
             for link in order:
-                req = link.resource.request()
+                req = Request(link.resource)
                 yield req
-                held.append((link, req))
-        acquired_at = env.now
+                held.append(req)
+        acquired_at = env._now
         # A link may have flapped down while we queued for the route;
         # release everything and fail so the sender can back off.
-        down = next((l for l in info.links if not l.up), None)
-        if down is not None:
-            for link, req in held:
-                link.resource.release(req)
-            raise LinkDownError(down.label)
-        yield env.timeout(duration)
-        for link, req in held:
-            link.record(nbytes, duration)
+        for down in links:
+            if not down.up:
+                for link, req in zip(order, held):
+                    link.resource.release(req)
+                raise LinkDownError(down.label)
+        yield Timeout(env, duration)
+        for link, req in zip(order, held):
+            link.bytes_carried += nbytes
+            link.busy_seconds += duration
             link.resource.release(req)
-        elapsed = env.now - start
-        self.stats.record(nbytes, elapsed, [l.spec.name for l in info.links])
+        elapsed = env._now - start
+        self.stats.record(nbytes, elapsed, links)
         if self.tracer is not None and self.tracer.link_detail:
             self.tracer.on_transfer(src, dst, nbytes, start, acquired_at,
-                                    env.now, info)
+                                    env._now, info)
         return elapsed
-
-    @staticmethod
-    def _check_route_up(info) -> None:
-        for link in info.links:
-            if not link.up:
-                raise LinkDownError(link.label)

@@ -109,11 +109,6 @@ class Link:
         """Bandwidth of this link in bytes/second (from its spec)."""
         return self.spec.bandwidth_Bps
 
-    def record(self, nbytes: int, held_seconds: float) -> None:
-        """Account a completed transfer against this link's counters."""
-        self.bytes_carried += nbytes
-        self.busy_seconds += held_seconds
-
     def utilization(self, elapsed_seconds: float) -> float:
         """Fraction of ``elapsed_seconds`` this link spent busy."""
         if elapsed_seconds <= 0:

@@ -103,6 +103,10 @@ class Topology:
         self.graph = nx.DiGraph()
         self._route_cache: dict[tuple[Device, Device], list[Link]] = {}
         self._route_info_cache: dict[tuple[Device, Device], RouteInfo] = {}
+        #: Bumped whenever cached routes are invalidated (a link added,
+        #: degraded, restored or flipped up/down): a :class:`RouteInfo`
+        #: looked up at epoch ``e`` is current while this still equals ``e``.
+        self.route_epoch = 0
 
     # -- construction ----------------------------------------------------
     def add_device(self, device: Device) -> Device:
@@ -123,8 +127,7 @@ class Topology:
         self.graph.add_edge(a, b, link=Link(self.env, spec, f"{a}->{b}"))
         if duplex:
             self.graph.add_edge(b, a, link=Link(self.env, spec, f"{b}->{a}"))
-        self._route_cache.clear()
-        self._route_info_cache.clear()
+        self._invalidate_routes()
 
     # -- queries ----------------------------------------------------------
     def devices(self, kind: str | None = None) -> list[Device]:
@@ -228,6 +231,7 @@ class Topology:
     def _invalidate_routes(self) -> None:
         self._route_cache.clear()
         self._route_info_cache.clear()
+        self.route_epoch += 1
 
     def route_info(self, src: Device, dst: Device) -> RouteInfo | None:
         """Cached :class:`RouteInfo` for the route, ``None`` if src == dst."""

@@ -35,8 +35,12 @@ _INNER_OFF = 65536
 def hierarchical_allreduce(ctx: CollCtx, grank: int, payload: Any, inner: str | None = None):
     """One rank's hierarchical-allreduce process; returns the reduced payload.
 
-    ``inner`` forces the leader-level algorithm (default: the library's
-    size-based selection for the leader communicator).
+    The node grouping comes from the communicator's cached
+    :class:`~repro.mpi.communicator.HierarchicalPlan` for this group: the
+    first rank of a call looks it up, and a group's plan is built once
+    per communicator.  ``inner`` forces the leader-level algorithm
+    (default: the library's size-based selection for the leader
+    communicator).
     """
     from repro.mpi.collectives import get_algorithm
 
@@ -46,41 +50,34 @@ def hierarchical_allreduce(ctx: CollCtx, grank: int, payload: Any, inner: str | 
         return payload
         yield  # pragma: no cover
 
-    # Group ranks by physical node, in group-rank order.
-    nodes: dict[int, list[int]] = {}
-    for g in range(p):
-        nodes.setdefault(ctx.node_of(g), []).append(g)
-    # Deterministic node order (by first member), so every rank builds the
-    # identical leader list.
-    node_groups = sorted(nodes.values(), key=lambda ranks: ranks[0])
-    my_group = next(ranks for ranks in node_groups if grank in ranks)
-    local_index = my_group.index(grank)
-    leaders = [ranks[0] for ranks in node_groups]
+    comm = ctx.comm
+    tag = ctx.tag
+    plan = ctx.hierarchical_plan()
 
-    if len(node_groups) == 1:
+    if len(plan.leaders) == 1:
         # Single node: hierarchical degenerates to the inner algorithm run
         # flat over NVLink.
-        name = inner or ctx.comm.library.allreduce_algorithm(
-            ops.nbytes(payload), p
-        )
-        flat_ctx = ctx.subctx(list(range(p)), _INNER_OFF)
+        name = inner or comm.library.allreduce_algorithm(ops.nbytes(payload), p)
+        flat_ctx = CollCtx(comm, ops, tag + _INNER_OFF, ctx.ranks)
         result = yield from get_algorithm(name)(flat_ctx, grank, payload)
         return result
 
+    members, local_index, leader_index = plan.slots[grank]
+
     # Stage 1: intra-node binomial reduce to the node leader.
-    local_ctx = ctx.subctx(my_group, _REDUCE_OFF)
+    local_ctx = CollCtx(comm, ops, tag + _REDUCE_OFF, members)
     reduced = yield from binomial_reduce(local_ctx, local_index, payload)
 
     # Stage 2: leaders allreduce across nodes.
-    if local_index == 0:
-        name = inner or ctx.comm.library.allreduce_algorithm(
+    if leader_index >= 0:
+        leaders = plan.leaders
+        name = inner or comm.library.allreduce_algorithm(
             ops.nbytes(reduced), len(leaders)
         )
-        leader_ctx = ctx.subctx(leaders, _INNER_OFF)
-        leader_index = leaders.index(grank)
+        leader_ctx = CollCtx(comm, ops, tag + _INNER_OFF, leaders)
         reduced = yield from get_algorithm(name)(leader_ctx, leader_index, reduced)
 
     # Stage 3: intra-node broadcast of the global result.
-    bcast_ctx = ctx.subctx(my_group, _BCAST_OFF)
+    bcast_ctx = CollCtx(comm, ops, tag + _BCAST_OFF, members)
     result = yield from binomial_bcast(bcast_ctx, local_index, reduced)
     return result

@@ -33,12 +33,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster.fabric import Fabric, LinkDownError
-from repro.cluster.topology import Device
+from repro.cluster.topology import Device, RouteInfo
 from repro.mpi.libraries import MPILibrary
 from repro.mpi.payload import PayloadOps, ops_for
 from repro.sim import Environment, Event, Process
 
-__all__ = ["CollCtx", "Comm", "TransferTimeout"]
+__all__ = ["CollCtx", "Comm", "HierarchicalPlan", "TransferTimeout"]
 
 
 class TransferTimeout(RuntimeError):
@@ -52,6 +52,46 @@ class TransferTimeout(RuntimeError):
 #: Tag stride reserved per collective invocation (must exceed the tag span
 #: any single algorithm uses; ring uses 2p, hierarchical uses 3 blocks).
 TAG_BLOCK = 1 << 20
+
+
+class _Pair:
+    """Send profile of one (src, dst) world-rank pair, built on first use.
+
+    Locality, the library's per-locality latency and bandwidth derate,
+    and the devices are fixed for a communicator's lifetime; ``route``
+    is refreshed whenever the topology's route epoch moves (a fault
+    degraded, restored or flipped a link).
+    """
+
+    __slots__ = ("src_dev", "dst_dev", "extra_latency", "bandwidth_derate",
+                 "route", "epoch")
+
+    def __init__(self, src_dev: Device, dst_dev: Device, extra_latency: float,
+                 bandwidth_derate: float) -> None:
+        self.src_dev = src_dev
+        self.dst_dev = dst_dev
+        self.extra_latency = extra_latency
+        self.bandwidth_derate = bandwidth_derate
+        self.route: RouteInfo | None = None
+        self.epoch = -1
+
+
+@dataclass(frozen=True)
+class HierarchicalPlan:
+    """Node placement of one rank group for hierarchical collectives.
+
+    Built once per distinct group by :meth:`Comm.hierarchical_plan`.
+    Nodes are ordered by their first member (so every rank agrees on
+    the leader list); each node's members keep group-rank order.
+    """
+
+    #: World ranks of each node's members.
+    node_groups: tuple[list[int], ...]
+    #: World rank of each node's leader (its first member).
+    leaders: list[int]
+    #: Per group rank: (its node's world ranks, index within the node,
+    #: index among the leaders or -1 for a non-leader).
+    slots: tuple[tuple[list[int], int, int], ...]
 
 
 @dataclass
@@ -98,6 +138,8 @@ class Comm:
         self.transfer_timeout_s = transfer_timeout_s
         self._mailboxes = [_Mailbox() for _ in devices]
         self._tags = itertools.count()
+        self._pairs: dict[tuple[int, int], _Pair] = {}
+        self._plans: dict[tuple[int, ...], HierarchicalPlan] = {}
         #: Optional telemetry hook (``on_allreduce(algorithm, nbytes,
         #: ranks, seconds)``) — see :class:`repro.telemetry.TelemetryProbe`.
         self.probe: Any = None
@@ -128,12 +170,31 @@ class Comm:
         """Physical node hosting ``rank``."""
         return self.devices[rank].node
 
-    def ranks_by_node(self) -> dict[int, list[int]]:
-        """Mapping node id -> ranks on that node (ascending)."""
-        groups: dict[int, list[int]] = {}
-        for rank, dev in enumerate(self.devices):
-            groups.setdefault(dev.node, []).append(rank)
-        return groups
+    def hierarchical_plan(self, ranks: list[int]) -> HierarchicalPlan:
+        """The cached :class:`HierarchicalPlan` of the group ``ranks``.
+
+        ``ranks`` lists world ranks in group-rank order; a plan is keyed
+        by that exact sequence, so a permuted or different subgroup gets
+        its own plan.
+        """
+        key = tuple(ranks)
+        plan = self._plans.get(key)
+        if plan is None:
+            nodes: dict[int, list[int]] = {}
+            for rank in key:
+                nodes.setdefault(self.node_of(rank), []).append(rank)
+            # dicts keep first-insertion order: nodes by first member.
+            groups = tuple(nodes.values())
+            leaders = [members[0] for members in groups]
+            slot_of: dict[int, tuple[list[int], int, int]] = {}
+            for leader_index, members in enumerate(groups):
+                for local_index, rank in enumerate(members):
+                    slot_of[rank] = (members, local_index,
+                                     leader_index if local_index == 0 else -1)
+            plan = HierarchicalPlan(groups, leaders,
+                                    tuple(slot_of[rank] for rank in key))
+            self._plans[key] = plan
+        return plan
 
     def fresh_tag_block(self) -> int:
         """Reserve a tag block for one collective invocation."""
@@ -144,13 +205,21 @@ class Comm:
         """Send ``payload`` from ``src`` to ``dst``; completes at delivery."""
         self._check_rank(src)
         self._check_rank(dst)
+        return self._isend(src, dst, payload, tag)
+
+    def _isend(self, src: int, dst: int, payload: Any, tag: int) -> Process:
+        """:meth:`isend` for ranks the caller has already validated."""
         self.messages_sent += 1
-        return self.env.process(self._send_proc(src, dst, payload, tag))
+        return Process(self.env, self._send_proc(src, dst, payload, tag))
 
     def recv(self, rank: int, src: int, tag: int) -> Event:
         """An event firing with the payload of the matching message."""
         self._check_rank(rank)
         self._check_rank(src)
+        return self._recv(rank, src, tag)
+
+    def _recv(self, rank: int, src: int, tag: int) -> Event:
+        """:meth:`recv` for ranks the caller has already validated."""
         mb = self._mailboxes[rank]
         key = (src, tag)
         arrived = mb.arrivals.get(key)
@@ -191,21 +260,28 @@ class Comm:
                 mb.rts_waiters.setdefault(key, deque()).append(ready)
                 yield ready
             yield self.env.timeout(lib.rendezvous_rtt_s)
-        src_dev, dst_dev = self.devices[src], self.devices[dst]
-        same = self.fabric.topology.same_node(src_dev, dst_dev)
+        pair = self._pairs.get((src, dst))
+        if pair is None:
+            pair = self._pair(src, dst)
+        fabric = self.fabric
+        topology = fabric.topology
         # Retry-with-backoff: a route through a flapped-down link fails
         # fast; the sender sleeps (exponentially longer each attempt) and
         # retries until the link recovers or the timeout budget runs out.
         attempt = 0
         waited = 0.0
         while True:
+            if pair.epoch != topology.route_epoch:
+                pair.route = topology.route_info(pair.src_dev, pair.dst_dev)
+                pair.epoch = topology.route_epoch
             try:
-                elapsed = yield from self.fabric.transfer_gen(
-                    src_dev,
-                    dst_dev,
+                elapsed = yield from fabric.route_transfer_gen(
+                    pair.route,
+                    pair.src_dev,
+                    pair.dst_dev,
                     nbytes,
-                    extra_latency=lib.sw_latency(same),
-                    bandwidth_derate=lib.bw_derate(same),
+                    pair.extra_latency,
+                    pair.bandwidth_derate,
                 )
                 break
             except LinkDownError as down:
@@ -222,6 +298,14 @@ class Comm:
                 yield self.env.timeout(backoff)
         self._deposit(dst, key, payload)
         return elapsed
+
+    def _pair(self, src: int, dst: int) -> _Pair:
+        src_dev, dst_dev = self.devices[src], self.devices[dst]
+        same = self.fabric.topology.same_node(src_dev, dst_dev)
+        lib = self.library
+        pair = _Pair(src_dev, dst_dev, lib.sw_latency(same), lib.bw_derate(same))
+        self._pairs[(src, dst)] = pair
+        return pair
 
     def _deposit(self, dst: int, key: tuple[int, int], payload: Any) -> None:
         mb = self._mailboxes[dst]
@@ -408,6 +492,8 @@ class CollCtx:
     ops: PayloadOps
     tag: int
     ranks: list[int]
+    _plan: HierarchicalPlan | None = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def size(self) -> int:
@@ -419,17 +505,22 @@ class CollCtx:
         """The simulation environment."""
         return self.comm.env
 
+    # The group's world ranks were validated when the collective began
+    # (:meth:`Comm.allreduce`), so sends and receives skip the checks.
     def isend(self, gsrc: int, gdst: int, payload: Any, tag: int) -> Process:
         """Send between group ranks (translated to world ranks)."""
-        return self.comm.isend(self.ranks[gsrc], self.ranks[gdst], payload, tag)
+        return self.comm._isend(self.ranks[gsrc], self.ranks[gdst], payload, tag)
 
     def recv(self, grank: int, gsrc: int, tag: int) -> Event:
         """Receive between group ranks (translated to world ranks)."""
-        return self.comm.recv(self.ranks[grank], self.ranks[gsrc], tag)
+        return self.comm._recv(self.ranks[grank], self.ranks[gsrc], tag)
 
-    def node_of(self, grank: int) -> int:
-        """Physical node of a group rank."""
-        return self.comm.node_of(self.ranks[grank])
+    def hierarchical_plan(self) -> HierarchicalPlan:
+        """This group's node placement (looked up once per context)."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self.comm.hierarchical_plan(self.ranks)
+        return plan
 
     def subctx(self, granks: list[int], tag_offset: int) -> "CollCtx":
         """A context for a subgroup, with a disjoint tag subspace."""

@@ -49,7 +49,7 @@ from repro.obs import (CONTEXT_HEADER, bind as obs_bind, decode_context,
 from repro.runner import ResultCache
 from repro.runner.cache import SNAPSHOT_STAT_FIELDS
 from repro.service.config import AuthError, QuotaError, ServiceConfig, TokenAuth
-from repro.service.jobs import JobState, SpecError, parse_spec
+from repro.service.jobs import TERMINAL_STATES, JobState, SpecError, parse_spec
 from repro.service.queue import JobQueue, QueueError, QueueWriteError
 from repro.service.scheduler import Scheduler
 from repro.telemetry.metrics import MetricRegistry
@@ -443,17 +443,20 @@ class ServiceApp:
         sent_retry = False
         while True:
             try:
-                job = queue.get(job_id)
-                if job.version > seen:
-                    seen = job.version
+                # One snapshot drives both the state frame and the
+                # terminal decision, so the last state frame sent is
+                # always the state the stream ends on.
+                doc = queue.snapshot(job_id)
+                if doc["version"] > seen:
+                    seen = doc["version"]
                     yield format_event(
-                        job.to_dict(), id=seen, event="state",
+                        doc, id=seen, event="state",
                         retry_ms=None if sent_retry else 2000)
                     sent_retry = True
-                if job.terminal:
-                    if job.state == JobState.DONE and job.result_path:
+                if doc["state"] in TERMINAL_STATES:
+                    if doc["state"] == JobState.DONE and doc["result_path"]:
                         try:
-                            text = open(job.result_path, "rb").read()
+                            text = open(doc["result_path"], "rb").read()
                         except OSError:
                             text = None
                         if text is not None:
@@ -462,7 +465,7 @@ class ServiceApp:
                             # so the round trip is byte-lossless.
                             yield format_event(text, id=seen,
                                                event="result")
-                    yield format_event({"id": job.id, "state": job.state},
+                    yield format_event({"id": doc["id"], "state": doc["state"]},
                                        id=seen, event="end")
                     return
                 if queue.wait_version(job_id, seen,

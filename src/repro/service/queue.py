@@ -502,6 +502,15 @@ class JobQueue:
             raise QueueError(f"unknown job {job_id!r}")
         return job
 
+    def snapshot(self, job_id: str) -> dict:
+        """The job's document, copied under the lock.
+
+        Watchers must read state, version and result path from one copy:
+        the live :class:`Job` can move on between two reads.
+        """
+        with self._lock:
+            return self.get(job_id).to_dict()
+
     def jobs(self, state: str | None = None,
              tenant: str | None = None) -> list[Job]:
         """Jobs in submission order, optionally filtered."""

@@ -20,8 +20,9 @@ events, because the MPI and Horovod layers lean on all of them.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 __all__ = [
@@ -39,7 +40,8 @@ __all__ = [
 NORMAL = 1
 #: Queue priority that sorts before NORMAL at equal timestamps.  Used for
 #: process-resumption bookkeeping so that a process observes the state its
-#: wakeup event established.
+#: wakeup event established.  The environment keeps each priority in its
+#: own lane rather than storing it per event.
 URGENT = 0
 
 
@@ -127,7 +129,13 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, NORMAL)
+        # Environment._schedule_now inlined: succeed is the kernel's
+        # most frequent trigger.
+        env = self.env
+        env._eid += 1
+        env._ready.append(self)
+        if env.monitor is not None:
+            env.monitor.on_schedule(env, self, 0.0)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -142,7 +150,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, NORMAL)
+        self.env._schedule_now(self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -181,14 +189,18 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None,
                  _at: float | None = None) -> None:
         if _at is not None:
-            delay = _at - env.now
+            delay = _at - env._now
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
+        # Event.__init__ inlined: timeouts are among the hottest
+        # allocations in the kernel.
+        self.env = env
+        self.callbacks = []
         self._ok = True
         self._value = value
-        env._schedule(self, NORMAL, delay, at=_at)
+        self.defused = False
+        self.delay = delay
+        env._schedule(self, delay, _at)
 
     # Timeouts are triggered at construction; succeed/fail are invalid.
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
@@ -204,11 +216,12 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self.callbacks.append(process._rcb)
+        self.env = env
+        self.callbacks = [process._rcb]
         self._ok = True
         self._value = None
-        env._schedule(self, URGENT)
+        self.defused = False
+        env._schedule_urgent(self)
 
 
 class Process(Event):
@@ -224,7 +237,11 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self._generator = generator
         #: The event this process is currently waiting on (None when ready
         #: to run or finished).
@@ -261,7 +278,7 @@ class Process(Event):
         event._value = Interrupt(cause)
         event.defused = True
         event.callbacks.append(self._rcb)
-        self.env._schedule(event, URGENT)
+        self.env._schedule_urgent(event)
         # Detach from the old target so its trigger no longer resumes us.
         if self._target is not None and self._target.callbacks is not None:
             try:
@@ -287,12 +304,12 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                env._schedule(self, NORMAL)
+                env._schedule_now(self)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                env._schedule(self, NORMAL)
+                env._schedule_now(self)
                 break
 
             if not isinstance(next_target, Event):
@@ -411,7 +428,16 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        # Three lanes hold the pending events; together they dispatch in
+        # exactly the ``(time, priority, eid)`` order of a single heap
+        # (DESIGN.md, "Kernel event lanes"):
+        #: URGENT events, all at ``now`` (process starts, interrupts).
+        self._urgent: deque[Event] = deque()
+        #: NORMAL events scheduled for ``now`` while ``now`` was current.
+        self._ready: deque[Event] = deque()
+        #: Everything else: a ``(time, eid, event)`` heap of NORMAL events
+        #: that were in the future when scheduled.
+        self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0
         self._active: Process | None = None
         #: Callbacks of the event being dispatched that have not run yet.
@@ -486,25 +512,59 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0,
-                  at: float | None = None) -> None:
+    def _schedule(self, event: Event, delay: float, at: float | None) -> None:
+        """Schedule a NORMAL event ``delay`` from now (or at ``at``)."""
         self._eid += 1
         when = (self._now + delay) if at is None else at
-        heapq.heappush(self._queue, (when, priority, self._eid, event))
+        if when == self._now:
+            self._ready.append(event)
+        else:
+            heappush(self._queue, (when, self._eid, event))
         if self.monitor is not None:
             self.monitor.on_schedule(self, event, delay)
 
+    def _schedule_now(self, event: Event) -> None:
+        """Schedule a NORMAL event at the current time."""
+        self._eid += 1
+        self._ready.append(event)
+        if self.monitor is not None:
+            self.monitor.on_schedule(self, event, 0.0)
+
+    def _schedule_urgent(self, event: Event) -> None:
+        """Schedule an URGENT event at the current time."""
+        self._eid += 1
+        self._urgent.append(event)
+        if self.monitor is not None:
+            self.monitor.on_schedule(self, event, 0.0)
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
+        if self._urgent or self._ready:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
+
+    def _pop(self) -> Event:
+        """Remove and return the next event in ``(time, priority, eid)`` order.
+
+        A heap entry due at ``now`` was scheduled before time advanced to
+        ``now``, so it precedes every entry of the ready lane.
+        """
+        if self._urgent:
+            return self._urgent.popleft()
+        queue = self._queue
+        if self._ready and not (queue and queue[0][0] == self._now):
+            return self._ready.popleft()
+        self._now, _, event = heappop(queue)
+        return event
 
     def step(self) -> None:
         """Process exactly one event, advancing time to its timestamp."""
-        if not self._queue:
+        if not (self._urgent or self._ready or self._queue):
             raise SimulationError("step() on an empty event queue")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        event = self._pop()
         if self.monitor is not None:
-            self.monitor.on_step(self, event, len(self._queue))
+            self.monitor.on_step(
+                self, event, len(self._urgent) + len(self._ready) + len(self._queue))
         callbacks, event.callbacks = event.callbacks, None
         rest = len(callbacks)
         for callback in callbacks:
@@ -520,23 +580,39 @@ class Environment:
         Dispatch is inlined rather than delegated to :meth:`step` so a
         same-timestamp event cohort (a barrier releasing dozens of rank
         processes, a fused group completing on every rank at once) drains
-        in one tight loop: one heap pop, one monitor check and one
+        in one tight loop: one lane pop, one monitor check and one
         callback walk per event, with no per-event method-call or
-        attribute-lookup overhead on top.  Semantics are identical to
-        calling :meth:`step` in a loop — the differential and
-        zero-perturbation suites compare the two paths event for event.
+        attribute-lookup overhead on top.  The lane choice is
+        :meth:`_pop`'s, with ``now`` kept in a local.  Semantics are
+        identical to calling :meth:`step` in a loop — the differential
+        and zero-perturbation suites compare the two paths event for
+        event.  Ready-lane events are never past the horizon: they are
+        due at ``now``, and ``run`` refuses a horizon before ``now``.
         """
         queue = self._queue
-        pop = heapq.heappop
-        while queue:
+        urgent = self._urgent
+        ready = self._ready
+        pop = heappop
+        pop_urgent = urgent.popleft
+        pop_ready = ready.popleft
+        now = self._now
+        while True:
             if until is not None and until.callbacks is None:
                 return
-            if horizon is not None and queue[0][0] > horizon:
+            if urgent:
+                event = pop_urgent()
+            elif ready and not (queue and queue[0][0] == now):
+                event = pop_ready()
+            elif queue:
+                if horizon is not None and queue[0][0] > horizon:
+                    return
+                now, _, event = pop(queue)
+                self._now = now
+            else:
                 return
-            self._now, _, _, event = pop(queue)
             monitor = self.monitor
             if monitor is not None:
-                monitor.on_step(self, event, len(queue))
+                monitor.on_step(self, event, len(urgent) + len(ready) + len(queue))
             callbacks = event.callbacks
             event.callbacks = None
             if len(callbacks) == 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import _PENDING, Environment, Event, SimulationError
 
 __all__ = ["FastGrant", "Resource", "Store"]
 
@@ -59,9 +59,26 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        # Event.__init__ and the grant inlined: one Request per link per
+        # transfer makes this the kernel's most frequent allocation.
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self.defused = False
         self.resource = resource
-        resource._on_request(self)
+        users = resource._users
+        if len(users) < resource.capacity:
+            users.add(self)
+            self._ok = True
+            self._value = None
+            env._eid += 1
+            env._ready.append(self)
+            if env.monitor is not None:
+                env.monitor.on_schedule(env, self, 0.0)
+        else:
+            self._value = _PENDING
+            self._ok = None
+            resource._waiting.append(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -121,22 +138,20 @@ class Resource:
         self._users.add(token)
         return token
 
-    def _on_request(self, req: Request) -> None:
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            req.succeed()
-        else:
-            self._waiting.append(req)
-
     def release(self, req: "Request | FastGrant") -> None:
         """Release a granted request, or cancel a queued one.
 
         Releasing a request that is neither held nor queued is an error —
         it almost always indicates a double release.
         """
-        if req in self._users:
-            self._users.remove(req)
-            self._grant_next()
+        users = self._users
+        if req in users:
+            users.remove(req)
+            waiting = self._waiting
+            while waiting and len(users) < self.capacity:
+                nxt = waiting.popleft()
+                users.add(nxt)
+                nxt.succeed()
         else:
             try:
                 self._waiting.remove(req)
@@ -144,12 +159,6 @@ class Resource:
                 raise SimulationError(
                     "release() of a request that is neither held nor queued"
                 ) from None
-
-    def _grant_next(self) -> None:
-        while self._waiting and len(self._users) < self.capacity:
-            nxt = self._waiting.popleft()
-            self._users.add(nxt)
-            nxt.succeed()
 
 
 class Store:

@@ -209,6 +209,29 @@ def test_sse_last_event_id_resumes_past_seen_versions(client, service):
     assert [e.event for e in events] == ["result", "end"]
 
 
+def test_sse_job_finishing_between_frame_and_check_gets_final_state(
+        client, service):
+    """The job completes right after a RUNNING state frame is yielded,
+    before the stream decides whether the job is terminal.  The stream
+    must not end on RUNNING: the DONE version gets its own state frame
+    before result and end."""
+    job = client.submit(experiment="E6")
+    path = service.config.results_dir / f"{job['id']}.json"
+    write_result(path, '{"schema_version": 2}\n')
+    service.queue.lease("w0")
+    service.queue.mark_running(job["id"])
+    frames = iter(service.app.handle(
+        "GET", f"/v1/jobs/{job['id']}/events?heartbeat=5", {}, b"")[2])
+    first = next(frames)
+    service.queue.complete(job["id"], str(path))
+    raw = first + b"".join(frames)
+    events = parse_sse(raw.decode("utf-8").split("\n"))
+    assert [e.event for e in events] == ["state", "state", "result", "end"]
+    assert events[0].json()["state"] == JobState.RUNNING
+    assert events[1].json()["state"] == JobState.DONE
+    assert events[3].json()["state"] == JobState.DONE
+
+
 def test_sse_heartbeats_while_nothing_changes(client, service):
     job = client.submit(experiment="E6")
     frames = service.app.handle(
