@@ -37,9 +37,9 @@ __all__ = ["CheckpointPlan", "TrainCheckpoint", "resume_training"]
 
 
 def _current_salt() -> str:
-    from repro.runner.simpoint import SIM_SALT
+    from repro.runner.simpoint import sim_salt
 
-    return SIM_SALT
+    return sim_salt()
 
 
 def _current_version() -> str:

@@ -2,8 +2,8 @@
 
 :class:`Fabric` turns a :class:`~repro.cluster.topology.Topology` into an
 executable data-movement service: ``fabric.transfer(src, dst, nbytes)``
-returns a simulation process that occupies every link on the route for the
-wormhole (cut-through) transfer time
+returns an event that fires once the transfer has occupied every link on
+the route for the wormhole (cut-through) transfer time
 
     T = Σ link latencies + extra_latency + nbytes / (min link bandwidth × derate)
 
@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import networkx as nx
+
 from repro.cluster.topology import Device, RouteInfo, Topology
 from repro.sim import Environment
-from repro.sim.engine import Timeout
+from repro.sim.engine import Event, Token
 from repro.sim.fastpath import fast_path_enabled
-from repro.sim.resources import Request
 
-__all__ = ["Fabric", "FastPathStats", "LinkDownError", "TransferStats"]
+__all__ = ["Fabric", "FastPathStats", "LinkDownError", "Transfer", "TransferStats"]
 
 
 class LinkDownError(RuntimeError):
@@ -149,46 +150,25 @@ class Fabric:
 
     def transfer(self, src: Device, dst: Device, nbytes: int,
                  extra_latency: float = 0.0,
-                 bandwidth_derate: float = 1.0):
-        """A simulation process moving ``nbytes`` from ``src`` to ``dst``.
+                 bandwidth_derate: float = 1.0) -> Event:
+        """An event firing when ``nbytes`` have moved from ``src`` to ``dst``.
 
-        Yields until the transfer completes; returns the elapsed seconds.
-        ``src == dst`` completes immediately with 0.  ``nbytes`` may be 0
-        (a pure control message still pays route latency).
-        """
-        return self.env.process(self.transfer_gen(src, dst, nbytes,
-                                                  extra_latency, bandwidth_derate))
-
-    def transfer_gen(self, src: Device, dst: Device, nbytes: int,
-                     extra_latency: float = 0.0,
-                     bandwidth_derate: float = 1.0):
-        """Generator form of :meth:`transfer`, for ``yield from`` embedding.
-
-        Embedding avoids one :class:`~repro.sim.engine.Process` per
-        message — the difference between minutes and seconds on
-        132-rank collective simulations.
+        Its value is the elapsed seconds; it fails with
+        :class:`LinkDownError` if the route is down.  ``src == dst``
+        completes with 0.  ``nbytes`` may be 0 (a pure control message
+        still pays route latency).
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         if not 0 < bandwidth_derate <= 1.0:
             raise ValueError(f"bandwidth_derate must be in (0, 1], got {bandwidth_derate}")
-        return self._routed_transfer(src, dst, nbytes, extra_latency, bandwidth_derate)
+        return Transfer(self, src, dst, nbytes, extra_latency, bandwidth_derate).done
 
-    def _routed_transfer(self, src, dst, nbytes, extra_latency, bandwidth_derate):
-        # The route is looked up when the generator starts, not when it
-        # is created: under :meth:`transfer` the process starts later in
-        # the instant, after events that may have re-routed the pair.
-        info = self.topology.route_info(src, dst)
-        if info is None:
-            return 0.0
-        return (yield from self.route_transfer_gen(
-            info, src, dst, nbytes, extra_latency, bandwidth_derate))
-
-    def _fast_transfer_viable(self, info) -> bool:
+    def _fast_transfer_viable(self, info: RouteInfo) -> bool:
         """True when the closed-form shortcut is provably equivalent.
 
         The reference path acquires the route's links through one queued
-        grant event per link, popped in sequence at the current timestamp.
+        grant firing per link, popped in sequence at the current timestamp.
         Eliding those events is safe exactly when nothing else could have
         interleaved between the grant pops:
 
@@ -216,64 +196,139 @@ class Fabric:
                 return False
         return True
 
-    def route_transfer_gen(self, info: RouteInfo, src: Device, dst: Device,
-                           nbytes: int, extra_latency: float,
-                           bandwidth_derate: float):
-        """:meth:`transfer_gen` over an already looked-up, current route.
 
-        The hot path for callers that cache ``info`` per device pair
-        (:class:`~repro.mpi.communicator.Comm`): it skips the argument
-        checks and the route lookup, so the caller must pass valid
-        arguments and a route no older than
-        :attr:`Topology.route_epoch <repro.cluster.topology.Topology.route_epoch>`.
-        """
+class Transfer(Token):
+    """One transfer: its lane token and the state machine that drives it.
+
+    The machine runs, between two firings of the token, exactly the code
+    a generator transfer runs between two ``yield`` statements, so it
+    schedules the same events in the same order (DESIGN.md,
+    "Callback-driven sends"):
+
+    1. start (URGENT, like a process start): look the route up;
+    2. :meth:`_move`: fail if a route link is down; take the fast path
+       if its guard holds, else request the route's links one at a
+       time in canonical acquire order, one grant firing per link;
+    3. once all are held: fail if a link went down meanwhile
+       (releasing them), else hold for the transfer time;
+    4. release, account, report to the tracer, then :meth:`_moved`.
+
+    The token itself is the links' holder.  A failed route check calls
+    :meth:`_link_down`.  Both hooks settle :attr:`done` here; a subclass
+    (the MPI send) overrides them to compose retries, rendezvous and
+    delivery around the transfer without any extra event.
+    """
+
+    __slots__ = ("fabric", "done", "src", "dst", "nbytes", "extra_latency",
+                 "bandwidth_derate", "route", "start", "acquired_at",
+                 "duration", "held")
+
+    def __init__(self, fabric: Fabric, src: Device, dst: Device, nbytes: int,
+                 extra_latency: float, bandwidth_derate: float) -> None:
+        super().__init__(fabric.env)
+        self.fabric = fabric
+        #: Fires with the elapsed seconds, or fails, when the transfer ends.
+        self.done = Event(fabric.env)
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.extra_latency = extra_latency
+        self.bandwidth_derate = bandwidth_derate
+        self.urgent(self._start)
+
+    def _start(self, _token: Event) -> None:
+        # The route is looked up when the transfer starts, not when it is
+        # created: events earlier in the instant may have re-routed.
+        try:
+            route = self.fabric.topology.route_info(self.src, self.dst)
+        except nx.NetworkXException as exc:  # a device off the topology
+            self.done.fail(exc)
+            return
+        if route is None:
+            self.done.succeed(0.0)
+            return
+        self.route = route
+        self._move()
+
+    # -- hooks ---------------------------------------------------------------
+    def _moved(self, elapsed: float) -> None:
+        """The payload arrived ``elapsed`` seconds after :meth:`_move`."""
+        self.done.succeed(elapsed)
+
+    def _link_down(self, error: LinkDownError) -> None:
+        """The route crossed a down link; nothing is held."""
+        self.done.fail(error)
+
+    # -- machine ---------------------------------------------------------------
+    def _move(self) -> None:
+        """Move ``nbytes`` over :attr:`route`, which must be current."""
         env = self.env
-        start = env._now
-        links = info.links
-        for link in links:
+        self.start = env._now
+        route = self.route
+        for link in route.links:
             if not link.up:
-                raise LinkDownError(link.label)
-        duration = (
-            info.latency_s
-            + extra_latency
-            + nbytes / (info.bottleneck_Bps * bandwidth_derate)
+                self._link_down(LinkDownError(link.label))
+                return
+        self.duration = (
+            route.latency_s
+            + self.extra_latency
+            + self.nbytes / (route.bottleneck_Bps * self.bandwidth_derate)
         )
-        order = info.acquire_order
-        if fast_path_enabled() and self._fast_transfer_viable(info):
+        fabric = self.fabric
+        if fast_path_enabled() and fabric._fast_transfer_viable(route):
             # Flow-level shortcut: the route is uncontended and the
-            # queue is quiet at this instant, so the reference path's
-            # grant events would all pop back-to-back right now.
-            # Acquire event-free; only the duration timeout remains.
-            held = [link.resource.try_acquire() for link in order]
-            fs = self.fast_stats
+            # queue is quiet at this instant, so every grant firing
+            # would pop back-to-back right now.  Hold the links without
+            # those firings; only the hold firing remains.
+            order = route.acquire_order
+            for link in order:
+                link.resource._users.add(self)
+            fs = fabric.fast_stats
             fs.fast += 1
             fs.events_elided += len(order)
+            self._acquired()
+            return
+        fabric.fast_stats.fallback += 1
+        # Canonical global order is deadlock-free: every transfer holding
+        # link k can only be waiting on links > k.
+        self.held = 0
+        route.acquire_order[0].resource.acquire(self, self._granted)
+
+    def _granted(self, _token: Event) -> None:
+        order = self.route.acquire_order
+        held = self.held = self.held + 1
+        if held < len(order):
+            order[held].resource.acquire(self, self._granted)
         else:
-            self.fast_stats.fallback += 1
-            # Reference path: acquire links in canonical global order
-            # (deadlock-free: every transfer holding link k can only be
-            # waiting on links > k).
-            held = []
-            for link in order:
-                req = Request(link.resource)
-                yield req
-                held.append(req)
-        acquired_at = env._now
+            self._acquired()
+
+    def _acquired(self) -> None:
+        self.acquired_at = self.env._now
+        route = self.route
         # A link may have flapped down while we queued for the route;
         # release everything and fail so the sender can back off.
-        for down in links:
+        for down in route.links:
             if not down.up:
-                for link, req in zip(order, held):
-                    link.resource.release(req)
-                raise LinkDownError(down.label)
-        yield Timeout(env, duration)
-        for link, req in zip(order, held):
+                for link in route.acquire_order:
+                    link.resource.release(self)
+                self._link_down(LinkDownError(down.label))
+                return
+        self.after(self.duration, self._arrived)
+
+    def _arrived(self, _token: Event) -> None:
+        env = self.env
+        route = self.route
+        nbytes = self.nbytes
+        duration = self.duration
+        for link in route.acquire_order:
             link.bytes_carried += nbytes
             link.busy_seconds += duration
-            link.resource.release(req)
-        elapsed = env._now - start
-        self.stats.record(nbytes, elapsed, links)
-        if self.tracer is not None and self.tracer.link_detail:
-            self.tracer.on_transfer(src, dst, nbytes, start, acquired_at,
-                                    env._now, info)
-        return elapsed
+            link.resource.release(self)
+        elapsed = env._now - self.start
+        fabric = self.fabric
+        fabric.stats.record(nbytes, elapsed, route.links)
+        tracer = fabric.tracer
+        if tracer is not None and tracer.link_detail:
+            tracer.on_transfer(self.src, self.dst, nbytes, self.start,
+                               self.acquired_at, env._now, route)
+        self._moved(elapsed)

@@ -32,11 +32,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cluster.fabric import Fabric, LinkDownError
+from repro.cluster.fabric import Fabric, LinkDownError, Transfer
 from repro.cluster.topology import Device, RouteInfo
 from repro.mpi.libraries import MPILibrary
 from repro.mpi.payload import PayloadOps, ops_for
 from repro.sim import Environment, Event, Process
+from repro.sim.engine import Token
 
 __all__ = ["CollCtx", "Comm", "HierarchicalPlan", "TransferTimeout"]
 
@@ -74,6 +75,129 @@ class _Pair:
         self.bandwidth_derate = bandwidth_derate
         self.route: RouteInfo | None = None
         self.epoch = -1
+
+
+class _Send(Transfer):
+    """One point-to-point message: the fabric's transfer machine plus the
+    MPI protocol around it.
+
+    It runs what a send process would, firing its token where that
+    process would yield (DESIGN.md, "Callback-driven sends"):
+
+    1. start (URGENT): size the payload; a self-send delivers at once;
+    2. rendezvous only: wait for the matching receive (the RTS), unless
+       it is already posted, then the RTS/CTS round trip;
+    3. the transfer over the pair's current route (:class:`Transfer`);
+       a down link backs off, doubling each attempt, and retries until
+       the backoff budget is spent (:class:`TransferTimeout`);
+    4. deposit the payload in the receiver's mailbox, then fire
+       :attr:`done`.
+    """
+
+    __slots__ = ("comm", "src_rank", "dst_rank", "payload", "key", "pair",
+                 "attempt", "waited")
+
+    def __init__(self, comm: "Comm", src: int, dst: int, payload: Any,
+                 tag: int) -> None:
+        # Transfer.__init__ needs the size and route, known only later.
+        Token.__init__(self, comm.env)
+        self.fabric = comm.fabric
+        self.done = Event(comm.env)
+        self.comm = comm
+        self.src_rank = src
+        self.dst_rank = dst
+        self.payload = payload
+        self.key = (src, tag)
+        self.urgent(self._start)
+
+    def _start(self, _token: Event) -> None:
+        comm = self.comm
+        payload = self.payload
+        try:
+            self.nbytes = nbytes = ops_for(payload).nbytes(payload)
+        except TypeError as exc:  # not a payload type the library moves
+            self.done.fail(exc)
+            return
+        dst = self.dst_rank
+        if self.src_rank == dst:
+            comm._deposit(dst, self.key, payload)
+            self.done.succeed(0.0)
+            return
+        lib = comm.library
+        if lib.uses_rendezvous(nbytes):
+            posted = comm._mailboxes[dst].posted
+            key = self.key
+            count = posted.get(key, 0)
+            if count > 0:
+                if count == 1:
+                    del posted[key]
+                else:
+                    posted[key] = count - 1
+                self.after(lib.rendezvous_rtt_s, self._cleared)
+            else:
+                # Fired by the receiver posting the matching recv.
+                self.wait(self._ready_to_send)
+                comm._mailboxes[dst].rts_waiters.setdefault(
+                    key, deque()).append(self)
+            return
+        self._send()
+
+    def _ready_to_send(self, _token: Event) -> None:
+        self.after(self.comm.library.rendezvous_rtt_s, self._cleared)
+
+    def _cleared(self, _token: Event) -> None:
+        self._send()
+
+    def _send(self) -> None:
+        comm = self.comm
+        pair = comm._pairs.get((self.src_rank, self.dst_rank))
+        if pair is None:
+            pair = comm._pair(self.src_rank, self.dst_rank)
+        self.pair = pair
+        self.src = pair.src_dev
+        self.dst = pair.dst_dev
+        self.extra_latency = pair.extra_latency
+        self.bandwidth_derate = pair.bandwidth_derate
+        self.attempt = 0
+        self.waited = 0.0
+        self._attempt()
+
+    def _attempt(self) -> None:
+        pair = self.pair
+        topology = self.fabric.topology
+        if pair.epoch != topology.route_epoch:
+            pair.route = topology.route_info(pair.src_dev, pair.dst_dev)
+            pair.epoch = topology.route_epoch
+        self.route = pair.route
+        self._move()
+
+    def _retry(self, _token: Event) -> None:
+        self._attempt()
+
+    def _link_down(self, error: LinkDownError) -> None:
+        # Retry-with-backoff: a route through a flapped-down link fails
+        # fast; the sender sleeps (exponentially longer each attempt) and
+        # retries until the link recovers or the timeout budget runs out.
+        comm = self.comm
+        attempt = self.attempt
+        backoff = comm.retry_backoff_s * (2 ** attempt)
+        if self.waited + backoff > comm.transfer_timeout_s:
+            comm.transfer_timeouts += 1
+            timeout = TransferTimeout(
+                f"transfer {self.src_rank}->{self.dst_rank} ({self.nbytes} B) "
+                f"gave up after {attempt} retries / {self.waited:.3f}s "
+                f"backoff: {error}")
+            timeout.__cause__ = error
+            self.done.fail(timeout)
+            return
+        comm.transfer_retries += 1
+        self.attempt = attempt + 1
+        self.waited += backoff
+        self.after(backoff, self._retry)
+
+    def _moved(self, elapsed: float) -> None:
+        self.comm._deposit(self.dst_rank, self.key, self.payload)
+        self.done.succeed(elapsed)
 
 
 @dataclass(frozen=True)
@@ -201,16 +325,20 @@ class Comm:
         return next(self._tags) * TAG_BLOCK
 
     # -- point to point ----------------------------------------------------
-    def isend(self, src: int, dst: int, payload: Any, tag: int) -> Process:
-        """Send ``payload`` from ``src`` to ``dst``; completes at delivery."""
+    def isend(self, src: int, dst: int, payload: Any, tag: int) -> Event:
+        """Send ``payload`` from ``src`` to ``dst``.
+
+        The returned event fires at delivery with the transfer's elapsed
+        seconds, or fails with :class:`TransferTimeout`.
+        """
         self._check_rank(src)
         self._check_rank(dst)
         return self._isend(src, dst, payload, tag)
 
-    def _isend(self, src: int, dst: int, payload: Any, tag: int) -> Process:
+    def _isend(self, src: int, dst: int, payload: Any, tag: int) -> Event:
         """:meth:`isend` for ranks the caller has already validated."""
         self.messages_sent += 1
-        return Process(self.env, self._send_proc(src, dst, payload, tag))
+        return _Send(self, src, dst, payload, tag).done
 
     def recv(self, rank: int, src: int, tag: int) -> Event:
         """An event firing with the payload of the matching message."""
@@ -240,64 +368,6 @@ class Comm:
         ev = Event(self.env)
         mb.recv_waiters.setdefault(key, deque()).append(ev)
         return ev
-
-    def _send_proc(self, src: int, dst: int, payload: Any, tag: int):
-        ops = ops_for(payload)
-        nbytes = ops.nbytes(payload)
-        key = (src, tag)
-        if src == dst:
-            self._deposit(dst, key, payload)
-            return 0.0
-        lib = self.library
-        mb = self._mailboxes[dst]
-        if lib.uses_rendezvous(nbytes):
-            if mb.posted.get(key, 0) > 0:
-                mb.posted[key] -= 1
-                if not mb.posted[key]:
-                    del mb.posted[key]
-            else:
-                ready = Event(self.env)
-                mb.rts_waiters.setdefault(key, deque()).append(ready)
-                yield ready
-            yield self.env.timeout(lib.rendezvous_rtt_s)
-        pair = self._pairs.get((src, dst))
-        if pair is None:
-            pair = self._pair(src, dst)
-        fabric = self.fabric
-        topology = fabric.topology
-        # Retry-with-backoff: a route through a flapped-down link fails
-        # fast; the sender sleeps (exponentially longer each attempt) and
-        # retries until the link recovers or the timeout budget runs out.
-        attempt = 0
-        waited = 0.0
-        while True:
-            if pair.epoch != topology.route_epoch:
-                pair.route = topology.route_info(pair.src_dev, pair.dst_dev)
-                pair.epoch = topology.route_epoch
-            try:
-                elapsed = yield from fabric.route_transfer_gen(
-                    pair.route,
-                    pair.src_dev,
-                    pair.dst_dev,
-                    nbytes,
-                    pair.extra_latency,
-                    pair.bandwidth_derate,
-                )
-                break
-            except LinkDownError as down:
-                backoff = self.retry_backoff_s * (2 ** attempt)
-                if waited + backoff > self.transfer_timeout_s:
-                    self.transfer_timeouts += 1
-                    raise TransferTimeout(
-                        f"transfer {src}->{dst} ({nbytes} B) gave up after "
-                        f"{attempt} retries / {waited:.3f}s backoff: {down}"
-                    ) from down
-                self.transfer_retries += 1
-                attempt += 1
-                waited += backoff
-                yield self.env.timeout(backoff)
-        self._deposit(dst, key, payload)
-        return elapsed
 
     def _pair(self, src: int, dst: int) -> _Pair:
         src_dev, dst_dev = self.devices[src], self.devices[dst]
@@ -507,7 +577,7 @@ class CollCtx:
 
     # The group's world ranks were validated when the collective began
     # (:meth:`Comm.allreduce`), so sends and receives skip the checks.
-    def isend(self, gsrc: int, gdst: int, payload: Any, tag: int) -> Process:
+    def isend(self, gsrc: int, gdst: int, payload: Any, tag: int) -> Event:
         """Send between group ranks (translated to world ranks)."""
         return self.comm._isend(self.ranks[gsrc], self.ranks[gdst], payload, tag)
 

@@ -22,33 +22,77 @@ ship the resulting :class:`~repro.core.sweep.Measurement` back.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar
 
 from repro.core.knobs import SystemConfig
 from repro.faults import FaultSchedule
 from repro.mpi.libraries import MPILibrary
 
-__all__ = ["OSUPoint", "SimPoint", "TrainPoint", "cache_salt"]
+__all__ = ["OSUPoint", "SimPoint", "TrainPoint", "cache_salt", "sim_salt",
+           "source_digest"]
 
-#: Bump when simulation semantics change in a way that invalidates cached
-#: Measurements without a package-version bump (cost model recalibration,
-#: collective algorithm fixes, trainer scheduling changes, ...).
+#: Manual override: bump to invalidate cached Measurements for a reason
+#: the source digest cannot see.  Every edit to the simulation's own
+#: source already changes the salt (:func:`source_digest`).
 SIM_SALT = "sim-2"
+
+#: The ``repro`` subpackages whose source decides a simulated outcome.
+SIM_PACKAGES = ("sim", "cluster", "mpi", "horovod", "models", "train",
+                "core", "faults", "data")
+
+
+def source_digest(root: Path | None = None) -> str:
+    """SHA-256 prefix over the source of :data:`SIM_PACKAGES`.
+
+    Every ``*.py`` file under ``<root>/<package>`` (``root`` defaults to
+    the installed ``repro`` package), in sorted relative-path order,
+    contributes its path and bytes.  :func:`cache_salt` computes it once
+    per process.
+    """
+    if root is None:
+        import repro
+
+        root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for package in SIM_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
+@functools.cache
+def _process_source_digest() -> str:
+    return source_digest()
+
+
+def sim_salt() -> str:
+    """:data:`SIM_SALT` plus this process's :func:`source_digest`.
+
+    Stamped on checkpoints too: a resumed run must come from the same
+    simulation code.
+    """
+    return f"{SIM_SALT}+{_process_source_digest()}"
 
 
 def cache_salt() -> str:
     """Code-version salt mixed into every cache key.
 
-    Combines the package version with :data:`SIM_SALT` so stale caches
-    from older code can never satisfy a lookup from newer code.
+    Combines the package version with :func:`sim_salt`, so a cached
+    result from any other simulation source can never satisfy a lookup,
+    whether or not anyone remembered to bump a version.
     """
     import repro
 
-    return f"{repro.__version__}+{SIM_SALT}"
+    return f"{repro.__version__}+{sim_salt()}"
 
 
 def _canonical(value):

@@ -34,6 +34,7 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
+    "Token",
 ]
 
 #: Queue priority for ordinary events.
@@ -224,6 +225,86 @@ class Initialize(Event):
         env._schedule_urgent(self)
 
 
+class Token(Event):
+    """A reusable event for a callback-driven state machine.
+
+    A process pays a fresh event for every wait plus a generator resume
+    when it fires.  A machine that waits on one thing at a time can
+    instead re-arm one token per wait, each arm scheduling exactly what
+    the event it replaces would have (same lane, same ``_eid`` step,
+    same monitor call):
+
+    * :meth:`urgent` — a process start (:class:`Initialize`);
+    * :meth:`after` — a :class:`Timeout`;
+    * :meth:`now` — an already triggered event, e.g. an immediate grant;
+    * :meth:`wait` — an untriggered event that someone else fires with
+      :meth:`~Event.succeed`, e.g. from a resource or mailbox queue.
+
+    Each arm sets the token's single callback.  A callback may re-arm
+    the token while the kernel is still dispatching it, so the token is
+    always ``defused``: the kernel's post-callback failure check must
+    never read a re-armed state.  Only the owning machine may wait on a
+    token; a process must never ``yield`` one.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment") -> None:
+        self.env = env
+        self.callbacks = None
+        self._ok = True
+        self._value = None
+        self.defused = True
+
+    # The arms inline Environment._schedule*: a token arms once per
+    # event it stands in for.
+    def urgent(self, callback: Callable[["Event"], None]) -> None:
+        """Fire at ``now`` in the URGENT lane, like a process start."""
+        self.callbacks = [callback]
+        self._ok = True
+        self._value = None
+        env = self.env
+        env._eid += 1
+        env._urgent.append(self)
+        if env.monitor is not None:
+            env.monitor.on_schedule(env, self, 0.0)
+
+    def after(self, delay: float, callback: Callable[["Event"], None]) -> None:
+        """Fire ``delay`` seconds from now, like a :class:`Timeout`."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay {delay!r}")
+        self.callbacks = [callback]
+        self._ok = True
+        self._value = None
+        env = self.env
+        env._eid += 1
+        now = env._now
+        when = now + delay
+        if when == now:
+            env._ready.append(self)
+        else:
+            heappush(env._queue, (when, env._eid, self))
+        if env.monitor is not None:
+            env.monitor.on_schedule(env, self, delay)
+
+    def now(self, callback: Callable[["Event"], None]) -> None:
+        """Fire at ``now`` in the NORMAL lane, like a zero-delay succeed."""
+        self.callbacks = [callback]
+        self._ok = True
+        self._value = None
+        env = self.env
+        env._eid += 1
+        env._ready.append(self)
+        if env.monitor is not None:
+            env.monitor.on_schedule(env, self, 0.0)
+
+    def wait(self, callback: Callable[["Event"], None]) -> None:
+        """Become untriggered; fires when someone calls :meth:`succeed`."""
+        self.callbacks = [callback]
+        self._ok = None
+        self._value = _PENDING
+
+
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -265,9 +346,12 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        The process stops waiting on its current target (the target event
-        itself is unaffected and may still fire later).  Interrupting a dead
-        process is an error; a process cannot interrupt itself.
+        The interrupt is an URGENT event.  When it is dispatched, the
+        process stops waiting on whatever it is waiting on *then* (that
+        event is unaffected and may still fire later) and the exception
+        is thrown in; a process that has died by then is left alone.
+        Interrupting a dead process is an error; a process cannot
+        interrupt itself.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
@@ -277,15 +361,23 @@ class Process(Event):
         event._ok = False
         event._value = Interrupt(cause)
         event.defused = True
-        event.callbacks.append(self._rcb)
+        event.callbacks.append(self._deliver_interrupt)
         self.env._schedule_urgent(event)
-        # Detach from the old target so its trigger no longer resumes us.
-        if self._target is not None and self._target.callbacks is not None:
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        # Detached at dispatch, not at interrupt(): a process not yet
+        # started, or interrupted again before an earlier interrupt
+        # landed, waits on a different event by now.
+        if self._value is not _PENDING:
+            return
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._rcb)
+                target.callbacks.remove(self._rcb)
             except ValueError:  # pragma: no cover - already detached
                 pass
         self._target = None
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""

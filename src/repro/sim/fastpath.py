@@ -2,9 +2,10 @@
 
 The simulator has two execution strategies for the hot paths:
 
-* the **reference path** — every link acquisition is a queued
-  :class:`~repro.sim.resources.Request` event and every transfer steps
-  through the full acquire/hold/release event sequence; and
+* the **reference path** — every link acquisition is a queued grant
+  event (:meth:`~repro.sim.resources.Resource.acquire`) and every
+  transfer steps through the full acquire/hold/release event sequence;
+  and
 * the **fast path** — when a provably-equivalent shortcut exists (an
   uncontended route, a quiet event queue), the same simulated outcome is
   computed closed-form with fewer kernel events.

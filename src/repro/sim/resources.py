@@ -14,35 +14,11 @@ wait with ordinary ``yield``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
-from repro.sim.engine import _PENDING, Environment, Event, SimulationError
+from repro.sim.engine import _PENDING, Environment, Event, SimulationError, Token
 
-__all__ = ["FastGrant", "Resource", "Store"]
-
-
-class FastGrant:
-    """Event-free grant token returned by :meth:`Resource.try_acquire`.
-
-    Holds the resource exactly like a granted :class:`Request` (it lives
-    in the resource's user set and is returned via
-    :meth:`Resource.release`) but its creation schedules **no** kernel
-    event — the caller proved the grant would have been immediate, so the
-    notification event the reference path pays is elided.  This is the
-    acquisition primitive of the fabric fast path
-    (:mod:`repro.sim.fastpath`).
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        self.resource = resource
-
-    def __enter__(self) -> "FastGrant":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.resource.release(self)
+__all__ = ["Resource", "Store"]
 
 
 class Request(Event):
@@ -59,8 +35,7 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        # Event.__init__ and the grant inlined: one Request per link per
-        # transfer makes this the kernel's most frequent allocation.
+        # Event.__init__ and the grant inlined.
         env = resource.env
         self.env = env
         self.callbacks = []
@@ -100,8 +75,9 @@ class Resource:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._users: set[Request | FastGrant] = set()
-        self._waiting: deque[Request] = deque()
+        #: Current holders: granted requests and tokens.
+        self._users: set[Event] = set()
+        self._waiting: deque[Event] = deque()
 
     @property
     def count(self) -> int:
@@ -122,23 +98,23 @@ class Resource:
         """True when a new request would be granted immediately."""
         return not self._waiting and len(self._users) < self.capacity
 
-    def try_acquire(self) -> "FastGrant | None":
-        """Acquire immediately without scheduling a grant event, or fail.
+    def acquire(self, token: Token, callback: Callable[[Event], None]) -> None:
+        """Request the resource for a state machine's :class:`Token`.
 
-        Returns a :class:`FastGrant` token (release it with
-        :meth:`release`) when the resource is :attr:`idle`, else ``None``.
-        Because no event is created, the caller must only use this where
-        the reference path's grant notification could not have interleaved
-        with any other event — see the fast-path guard in
-        :meth:`repro.cluster.fabric.Fabric._fast_transfer_viable`.
+        Schedules exactly what a :class:`Request` would: a free resource
+        fires ``token`` (with ``callback``) at ``now`` in the NORMAL
+        lane, a busy one queues it FIFO for :meth:`release` to fire.  The
+        token itself is the holder: release it with :meth:`release`.
         """
-        if self._waiting or len(self._users) >= self.capacity:
-            return None
-        token = FastGrant(self)
-        self._users.add(token)
-        return token
+        users = self._users
+        if len(users) < self.capacity:
+            users.add(token)
+            token.now(callback)
+        else:
+            token.wait(callback)
+            self._waiting.append(token)
 
-    def release(self, req: "Request | FastGrant") -> None:
+    def release(self, req: Event) -> None:
         """Release a granted request, or cancel a queued one.
 
         Releasing a request that is neither held nor queued is an error —

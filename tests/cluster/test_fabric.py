@@ -1,5 +1,6 @@
 """Tests for the fabric transfer model: timing, contention, accounting."""
 
+import networkx as nx
 import pytest
 
 from repro.cluster import Device, Fabric, build_summit
@@ -50,6 +51,16 @@ def test_negative_size_rejected():
     env, fabric = make_fabric()
     with pytest.raises(ValueError):
         fabric.transfer(Device.gpu(0, 0), Device.gpu(0, 1), -1)
+
+
+def test_transfer_to_a_device_off_the_topology_fails_its_event():
+    """The route is looked up when the transfer starts; a device the
+    topology lacks fails the returned event, which the waiter sees."""
+    env, fabric = make_fabric(nodes=1)
+    t = fabric.transfer(Device.gpu(0, 0), Device.gpu(3, 0), 1)
+    assert not t.triggered
+    with pytest.raises(nx.NodeNotFound):
+        env.run(until=t)
 
 
 def test_bad_derate_rejected():

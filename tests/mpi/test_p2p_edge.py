@@ -119,3 +119,20 @@ def test_concurrent_allreduces_share_fabric():
     env2.run(until=env2.all_of([da, db]))
     both = env2.now - start
     assert both > 1.5 * solo
+
+
+def test_send_of_an_unsupported_payload_fails_its_completion():
+    """The payload is sized when the send starts: a type the library
+    cannot move fails the returned event, which the sender sees."""
+    env, comm = make_comm(2)
+    send = comm.isend(0, 1, "not a buffer", tag=0)
+
+    def sender(env):
+        try:
+            yield send
+        except TypeError as exc:
+            return str(exc)
+
+    proc = env.process(sender(env))
+    env.run()
+    assert proc.value == "no payload ops for str"

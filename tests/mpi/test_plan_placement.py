@@ -1,12 +1,15 @@
-"""Placement properties of the communicator's cached hierarchical plans.
+"""Placement properties of every allreduce algorithm and of the
+communicator's cached hierarchical plans.
 
 Sweeps only ever place six ranks per node.  Here Hypothesis draws 1–6
 ranks per node, a partly filled last node, and permuted, non-contiguous
 ``ranks=`` subgroups, and runs two different subgroups on one
-communicator.  Hierarchical allreduce must equal the numpy sum bit for
-bit (payloads are integer-valued, so every summation order is exact),
-and a plan must describe exactly the group it was built for: never one
-reused across subgroups.
+communicator.  Every algorithm (ring, recursive doubling, Rabenseifner,
+tree, hierarchical) must equal the numpy sum bit for bit (payloads are
+integer-valued, so every summation order is exact), and its simulated
+time must not decrease as the message grows.  A hierarchical plan must
+describe exactly the group it was built for: never one reused across
+subgroups.
 """
 
 import numpy as np
@@ -14,8 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Fabric, build_summit
-from repro.mpi import MVAPICH2_GDR, Comm
+from repro.mpi import MVAPICH2_GDR, Comm, VirtualBuffer
 from repro.sim import Environment
+from repro.trace.spans import SpanRecorder
+
+ALGORITHMS = ("ring", "recursive_doubling", "rabenseifner", "tree",
+              "hierarchical")
 
 
 @st.composite
@@ -40,10 +47,12 @@ def build_comm(full_nodes, per_node, offset, last):
 
 
 @st.composite
-def subgroup(draw, size):
-    """A non-empty, permuted (possibly non-contiguous) list of world ranks."""
-    ranks = draw(st.lists(st.integers(0, size - 1), min_size=1,
-                          max_size=size, unique=True))
+def subgroup(draw, size, min_size=1):
+    """A non-empty, permuted (possibly non-contiguous) list of world ranks
+    (at least ``min_size`` of them where the communicator has that many)."""
+    ranks = draw(st.lists(st.integers(0, size - 1),
+                          min_size=min(min_size, size), max_size=size,
+                          unique=True))
     return draw(st.permutations(ranks))
 
 
@@ -73,10 +82,11 @@ def check_plan(comm, ranks):
     return plan
 
 
-def allreduce_exact(env, comm, ranks, seed, n, explicit=True):
+def allreduce_exact(env, comm, ranks, seed, n, explicit=True,
+                    algorithm="hierarchical"):
     rng = np.random.default_rng(seed)
     payloads = [rng.integers(-1000, 1000, n).astype(np.float64) for _ in ranks]
-    done = comm.allreduce(payloads, algorithm="hierarchical",
+    done = comm.allreduce(payloads, algorithm=algorithm,
                           ranks=ranks if explicit else None)
     results = env.run(until=done)
     expected = np.sum(payloads, axis=0)
@@ -128,3 +138,68 @@ def test_permutation_of_one_group_gets_its_own_plan():
     assert forward.leaders == [0, 3]
     assert backward.leaders == [4, 2]
     allreduce_exact(env, comm, [4, 3, 2, 1, 0], 7, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts(), data=st.data(), n=st.integers(0, 40),
+       seed=st.integers(0, 2**16), algorithm=st.sampled_from(ALGORITHMS))
+def test_every_algorithm_is_exact_on_any_placement(layout, data, n, seed,
+                                                   algorithm):
+    env, comm = build_comm(*layout)
+    group = data.draw(subgroup(comm.size), label="group")
+    allreduce_exact(env, comm, group, seed, n, algorithm=algorithm)
+    # Then the whole world on the same communicator.
+    allreduce_exact(env, comm, list(range(comm.size)), seed + 1, n,
+                    explicit=False, algorithm=algorithm)
+
+
+def allreduce_seconds(layout, ranks, algorithm, nbytes):
+    """``(simulated seconds, whether any transfer waited for a link)``."""
+    env, comm = build_comm(*layout)
+    tracer = SpanRecorder(level="links")
+    tracer.attach(env=env, comm=comm, fabric=comm.fabric)
+    done = comm.allreduce([VirtualBuffer(nbytes) for _ in ranks],
+                          algorithm=algorithm, ranks=ranks)
+    env.run(until=done)
+    waited = any(span.tags["wait_s"] > 0 for span in tracer.by_cat("TRANSFER"))
+    return env.now, waited
+
+
+#: Message sizes spread over every magnitude from bytes to 4 MiB.
+message_sizes = st.integers(2, 22).flatmap(
+    lambda e: st.integers(1 << (e - 2), 1 << e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts(), data=st.data(), algorithm=st.sampled_from(ALGORITHMS),
+       sizes=st.lists(message_sizes, min_size=2, max_size=4))
+def test_simulated_time_does_not_decrease_as_bytes_grow(layout, data,
+                                                        algorithm, sizes):
+    """Same placement, group and algorithm, each size on a fresh
+    cluster: a larger message never finishes sooner than a smaller one
+    whose run had no link contention.
+
+    Without contention a run is its dependency graph's earliest
+    schedule: every transfer starts when its inputs (and, for
+    rendezvous, its receiver) are ready and lasts longer the larger the
+    message, so that schedule only grows with the size, and contention
+    only delays it.  With contention the model does not have the
+    property at any size: a transfer holds every route link for its
+    whole time, software latency included, and links grant FIFO, so a
+    larger message can reorder grants on a shared link into a shorter
+    schedule (a list-scheduling anomaly).  Two examples, as (layout,
+    ranks): ring on ((2, 4, 0, 1), [7, 0, 1, 4, 3, 8, 5, 2]) takes
+    319.3 us at 0 B and 309.0 us at 4 B; ring on ((3, 2, 1, 1),
+    [3, 5, 0, 2, 6, 4]) takes 1158.8 us at 2439984 B and 1076.6 us at
+    2738216 B.
+    """
+    full_nodes, per_node, _, last = layout
+    group = data.draw(subgroup(full_nodes * per_node + last, min_size=2),
+                      label="group")
+    sizes = sorted(4 * (s // 4) for s in sizes)
+    runs = [allreduce_seconds(layout, group, algorithm, nbytes)
+            for nbytes in sizes]
+    for i, (seconds, waited) in enumerate(runs):
+        if not waited:
+            for nbytes, (later, _) in zip(sizes[i + 1:], runs[i + 1:]):
+                assert later >= seconds, (sizes[i], seconds, nbytes, later)

@@ -1,15 +1,19 @@
 """Tests for simulation points and their content-addressed keys."""
 
 import dataclasses
+import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import paper_default_config, paper_tuned_config
 from repro.mpi.libraries import MPI_LIBRARIES
 from repro.runner import OSUPoint, TrainPoint, cache_salt
-from repro.runner.simpoint import _canonical
+from repro.runner.simpoint import SIM_PACKAGES, _canonical, source_digest
 
 
 def _point(**overrides):
@@ -79,6 +83,66 @@ def test_key_stable_across_processes():
         check=True,
     )
     assert out.stdout.strip() == _point().key()
+
+
+#: Prints every salted key a fresh process derives from its source.
+_KEYS_SCRIPT = """
+import json
+from repro.checkpoint.train import _current_salt
+from repro.core import paper_tuned_config
+from repro.mpi.libraries import MPI_LIBRARIES
+from repro.runner import OSUPoint, TrainPoint, cache_salt
+from repro.runner.prefix import ladder_key
+train = TrainPoint(gpus=6, config=paper_tuned_config(), iterations=2)
+osu = OSUPoint(gpus=6, library=MPI_LIBRARIES["MVAPICH2-GDR"], nbytes=1024)
+print(json.dumps({"train": train.key(), "osu": osu.key(),
+                  "ladder": ladder_key(train), "cache_salt": cache_salt(),
+                  "checkpoint_salt": _current_salt()}))
+"""
+
+
+def _keys(root: Path) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-c", _KEYS_SCRIPT], capture_output=True, text=True,
+        check=True, cwd=root, env={**os.environ, "PYTHONPATH": str(root)},
+    )
+    return json.loads(out.stdout)
+
+
+def test_editing_any_simulation_package_changes_every_key(tmp_path):
+    """The salt is derived from the simulation source: a one-line edit in
+    any simulation package, in a copy of the program, moves every cache
+    key and the checkpoint salt (no manual bump needed)."""
+    import repro
+
+    shutil.copytree(Path(repro.__file__).parent, tmp_path / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    baseline = _keys(tmp_path)
+    assert _keys(tmp_path) == baseline
+    for package in SIM_PACKAGES:
+        target = tmp_path / "repro" / package / "__init__.py"
+        original = target.read_bytes()
+        target.write_bytes(original + b"\n# edited\n")
+        try:
+            edited = _keys(tmp_path)
+        finally:
+            target.write_bytes(original)
+        for name, key in edited.items():
+            assert key != baseline[name], (package, name)
+
+
+def test_source_digest_ignores_packages_outside_the_simulation(tmp_path):
+    import repro
+
+    shutil.copytree(Path(repro.__file__).parent, tmp_path / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    before = source_digest(tmp_path / "repro")
+    cli = tmp_path / "repro" / "__main__.py"
+    cli.write_text(cli.read_text() + "\n# edited\n")
+    assert source_digest(tmp_path / "repro") == before
+    engine = tmp_path / "repro" / "sim" / "engine.py"
+    engine.write_text(engine.read_text() + "\n# edited\n")
+    assert source_digest(tmp_path / "repro") != before
 
 
 def test_canonical_rejects_callables():

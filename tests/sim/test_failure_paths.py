@@ -125,6 +125,112 @@ def test_double_interrupt_before_resume():
     assert hits == ["a", "b"]
 
 
+class ResumeLog:
+    """Monitor counting, per dispatched event, how often ``victim`` was
+    resumed by it."""
+
+    def __init__(self) -> None:
+        self.victim = None
+        self.resumes: list = []
+
+    def on_schedule(self, env, event, delay) -> None:
+        pass
+
+    def on_step(self, env, event, depth) -> None:
+        hits = sum(1 for cb in event.callbacks
+                   if getattr(cb, "__self__", None) is self.victim)
+        if hits:
+            self.resumes.append((env.now, type(event).__name__, hits))
+
+
+def test_interrupt_before_start_detaches_from_the_first_wait():
+    """Interrupted before its start event ran, the process starts, waits
+    on its first timeout, and the interrupt detaches it from *that*: the
+    timeout firing later must not resume it again."""
+    env = Environment()
+    monitor = env.monitor = ResumeLog()
+    log = []
+
+    def victim_gen():
+        try:
+            yield env.timeout(5)
+            log.append(("timeout", env.now))
+        except Interrupt as intr:
+            log.append(("interrupted", env.now, intr.cause))
+        yield env.timeout(10)
+        log.append(("end", env.now))
+        return "done"
+
+    def starter():
+        victim = monitor.victim = env.process(victim_gen())
+        victim.interrupt("early")
+        return (yield victim)
+
+    starter_proc = env.process(starter())
+    env.run()
+    assert log == [("interrupted", 0.0, "early"), ("end", 10.0)]
+    assert starter_proc.value == "done"
+    assert monitor.resumes == [(0.0, "Initialize", 1), (0.0, "Event", 1),
+                               (10.0, "Timeout", 1)]
+
+
+def test_second_interrupt_detaches_from_the_wait_after_the_first():
+    """Two interrupts before the first is dispatched: the second detaches
+    the process from what it waits on after handling the first, so every
+    event resumes it once."""
+    env = Environment()
+    monitor = env.monitor = ResumeLog()
+    log = []
+
+    def sleeper():
+        for _ in range(3):
+            try:
+                yield env.timeout(100)
+                log.append(("woke", env.now))
+            except Interrupt as intr:
+                log.append(("interrupted", env.now, intr.cause))
+        return "done"
+
+    victim = monitor.victim = env.process(sleeper())
+
+    def interrupter():
+        yield env.timeout(1)
+        victim.interrupt("a")
+        victim.interrupt("b")
+
+    env.process(interrupter())
+    env.run()
+    assert log == [("interrupted", 1.0, "a"), ("interrupted", 1.0, "b"),
+                   ("woke", 101.0)]
+    assert victim.value == "done"
+    assert monitor.resumes == [(0.0, "Initialize", 1), (1.0, "Event", 1),
+                               (1.0, "Event", 1), (101.0, "Timeout", 1)]
+
+
+def test_interrupt_of_a_process_that_died_meanwhile_is_dropped():
+    """A process that returns on its first interrupt is dead when the
+    second is dispatched; the second is skipped."""
+    env = Environment()
+
+    def victim_gen():
+        try:
+            yield env.timeout(100)
+        except Interrupt as intr:
+            return intr.cause
+
+    victim = env.process(victim_gen())
+
+    def interrupter():
+        yield env.timeout(1)
+        victim.interrupt("first")
+        victim.interrupt("second")
+
+    env.process(interrupter())
+    env.run()
+    assert victim.value == "first"
+    assert env.now == 100.0
+
+
 def test_failed_allof_member_after_condition_failed_is_defused():
     env = Environment()
 

@@ -130,14 +130,8 @@ def run_schedule(env_cls, seed: int):
     shared = [env.event() for _ in range(4)]
     resource = Resource(env, capacity=rng.choice((1, 2)))
     procs: list = []
-    # The kernel detaches an interrupted process from its target when
-    # interrupt() is called, so a process is only interrupted once it
-    # has started and has no interrupt still in flight.
-    started: set = set()
-    pending: set = set()
 
     def worker(name: str, wrng: random.Random, depth: int):
-        started.add(name)
         for step in range(wrng.randint(3, 10)):
             action = wrng.choice(ACTIONS)
             try:
@@ -165,13 +159,13 @@ def run_schedule(env_cls, seed: int):
                         if wrng.random() < 0.5:
                             yield child
                 elif action == "interrupt":
-                    targets = [(n, p) for n, p in procs
-                               if n in started and n not in pending
-                               and p.is_alive and p is not env.active_process]
+                    # Also processes not started yet, or with an
+                    # interrupt still in flight: each interrupt detaches
+                    # its process from what it waits on at dispatch.
+                    targets = [p for _, p in procs
+                               if p.is_alive and p is not env.active_process]
                     if targets:
-                        target, proc = wrng.choice(targets)
-                        pending.add(target)
-                        proc.interrupt(name)
+                        wrng.choice(targets).interrupt(name)
                     if wrng.random() < 0.5:
                         yield env.timeout(0)
                 elif action == "all_of":
@@ -186,7 +180,6 @@ def run_schedule(env_cls, seed: int):
                         yield env.timeout(wrng.choice(DELAYS))
                 actions.append((env.now, name, action))
             except Interrupt as interrupt:
-                pending.discard(name)
                 actions.append((env.now, name, "interrupted", interrupt.cause))
 
     for i in range(rng.randint(2, 6)):
